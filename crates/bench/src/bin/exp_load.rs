@@ -11,9 +11,11 @@
 //! and status GC (DESIGN §3.16) per-cell work is linear in the cell's
 //! action count, and this harness runs with both on — the cell split
 //! remains as the unit of *hosting*: each cell's entire repository side
-//! is one [`LoadBackend::EventLoop`] thread multiplexing nonblocking
-//! sockets, so the fleet runs on one OS thread per cell group instead of
-//! one per repository plus one per accepted connection.
+//! is one event-loop thread multiplexing nonblocking sockets.
+//!
+//! Every mode runs with its minimal relation (`Protocol::minimal`:
+//! ≥S for static and hybrid, ≥S ∪ ≥D for dynamic-2pl), as `qcc load`
+//! does.
 //!
 //! Unlike every other `BENCH_*.json`, this file records wall-clock
 //! throughput and latency SLOs of a real-socket deployment, so it is
@@ -28,9 +30,8 @@
 
 use quorumcc_adts::Queue;
 use quorumcc_bench::{experiment_bounds, section};
-use quorumcc_core::minimal_static_relation;
-use quorumcc_net::{run_load, LoadBackend, LoadConfig, LoadReport};
-use quorumcc_replication::protocol::Mode;
+use quorumcc_net::{run_load, LoadConfig, LoadReport};
+use quorumcc_replication::protocol::{Mode, Protocol};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -70,7 +71,6 @@ fn shape(quick: bool) -> Shape {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::args().any(|a| a == "--quick");
     let sh = shape(quick);
-    let relation = minimal_static_relation::<Queue>(experiment_bounds()).relation;
 
     section(&format!(
         "exp_load: {} clients x 1 txn across {} cells ({})",
@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     {
         let report = run_load(&LoadConfig {
             mode,
-            relation: relation.clone(),
+            relation: Protocol::minimal::<Queue>(mode, experiment_bounds()).rel,
             clusters: sh.clusters,
             n_repos: 3,
             clients: sh.clients,
@@ -96,13 +96,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             workers: 1,
             seed: BASE_SEED + i as u64,
             op_timeout_ticks: sh.op_timeout_ticks,
-            narrow: true,
             deq_fraction: 0.0,
             ramp: sh.ramp,
             deadline: sh.deadline,
-            scoped_statuses: true,
-            status_gc: Some(64),
-            backend: LoadBackend::EventLoop,
             ..LoadConfig::default()
         });
         println!(

@@ -34,8 +34,7 @@ use quorumcc_adts::queue::QueueInv;
 use quorumcc_adts::Queue;
 use quorumcc_bench::{experiment_bounds, section, threads_from_args};
 use quorumcc_core::parallel::map_indexed;
-use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation, DependencyRelation};
-use quorumcc_net::{run_load, CrashSpec, LoadBackend, LoadConfig, LoadReport, NetFaultProfile};
+use quorumcc_net::{run_load, CrashSpec, LoadConfig, LoadReport, NetFaultProfile};
 use quorumcc_replication::cluster::{ProtocolConfig, RunBuilder};
 use quorumcc_replication::protocol::{Mode, Protocol};
 use quorumcc_replication::{
@@ -49,18 +48,6 @@ const BASE_SEED: u64 = 20_260;
 const N_SITES: u32 = 5;
 /// Crashed repository (DES / channels phases).
 const VICTIM: u32 = 1;
-
-/// A dependency relation valid for `mode` (majority thresholds satisfy
-/// any well-formed relation — same convention as the backend tests).
-fn relation(mode: Mode) -> DependencyRelation {
-    let bounds = experiment_bounds();
-    match mode {
-        Mode::StaticTs | Mode::Hybrid => minimal_static_relation::<Queue>(bounds).relation,
-        Mode::Dynamic2pl => minimal_static_relation::<Queue>(bounds)
-            .relation
-            .union(&minimal_dynamic_relation::<Queue>(bounds).relation),
-    }
-}
 
 /// Enq-only, one private object per client: commutative *and*
 /// conflict-free (dynamic-2pl takes per-object locks, so shared objects
@@ -92,7 +79,10 @@ fn des_phase(threads: usize, json: &mut String) {
         let w = workload(4, 40);
         let total: usize = w.iter().map(Vec::len).sum();
         let report = RunBuilder::<Queue>::new(N_SITES)
-            .protocol(ProtocolConfig::new(Protocol::new(mode, relation(mode))).op_timeout(60))
+            .protocol(
+                ProtocolConfig::new(Protocol::minimal::<Queue>(mode, experiment_bounds()))
+                    .op_timeout(60),
+            )
             .faults(faults)
             .seed(BASE_SEED)
             .workload(w)
@@ -175,7 +165,10 @@ fn channels_phase(json: &mut String) {
     // (the run stops as soon as clients drain).
     let w = workload(3, 40);
     let report = RunBuilder::<Queue>::new(N_SITES)
-        .protocol(ProtocolConfig::new(Protocol::new(mode, relation(mode))).op_timeout(30_000))
+        .protocol(
+            ProtocolConfig::new(Protocol::minimal::<Queue>(mode, experiment_bounds()))
+                .op_timeout(30_000),
+        )
         .faults(faults)
         .seed(BASE_SEED + 1)
         .workload(w)
@@ -262,7 +255,7 @@ fn eventloop_phase(quick: bool, json: &mut String) {
     let mode = Mode::Hybrid;
     let report: LoadReport = run_load(&LoadConfig {
         mode,
-        relation: relation(mode),
+        relation: Protocol::minimal::<Queue>(mode, experiment_bounds()).rel,
         clusters: sh.clusters,
         n_repos: 3,
         clients: sh.clients,
@@ -276,9 +269,7 @@ fn eventloop_phase(quick: bool, json: &mut String) {
         deq_fraction: 0.0,
         ramp: Duration::from_millis(0),
         deadline: Duration::from_secs(if quick { 120 } else { 300 }),
-        scoped_statuses: true,
         status_gc: Some(4),
-        backend: LoadBackend::EventLoop,
         fault_profile: NetFaultProfile::lossy(BASE_SEED + 2),
         // Paced well above per-op service latency: an aggressive period
         // (50 ms here) re-sends the whole dark-window backlog every
@@ -340,7 +331,7 @@ fn eventloop_phase(quick: bool, json: &mut String) {
     // outcome and also passes. Wall-clock rates go to stdout only.
     let control: LoadReport = run_load(&LoadConfig {
         mode,
-        relation: relation(mode),
+        relation: Protocol::minimal::<Queue>(mode, experiment_bounds()).rel,
         clusters: sh.clusters,
         n_repos: 3,
         clients: sh.clients,
@@ -354,9 +345,7 @@ fn eventloop_phase(quick: bool, json: &mut String) {
         deq_fraction: 0.0,
         ramp: Duration::from_millis(0),
         deadline: Duration::from_secs(if quick { 120 } else { 300 }),
-        scoped_statuses: true,
         status_gc: Some(4),
-        backend: LoadBackend::EventLoop,
         fault_profile: NetFaultProfile::lossy(BASE_SEED + 2),
         resolve_retransmit: Some(250_000),
         crash: None,

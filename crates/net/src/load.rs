@@ -1,13 +1,19 @@
 //! The `exp_load` harness: many lightweight sans-I/O clients against a
 //! real-socket cluster.
 //!
-//! Topology: each repository is an OS thread hosting a
-//! [`Repository`] driver behind a TCP listener on loopback. Clients are
-//! *not* threads — a small worker pool multiplexes tens to hundreds of
-//! thousands of [`Client`] drivers, each a few hundred bytes of protocol
-//! state plus a [`CollectIo`]. Every worker opens one connection per
-//! repository and tags frames with the issuing client's process id, so a
-//! repository routes replies by id over the connection they arrived on.
+//! Topology: each cell is one event-loop thread hosting all of its
+//! [`Repository`] drivers, each behind its own TCP listener on loopback,
+//! over readiness-polled nonblocking sockets (no per-repository or
+//! per-connection threads). Clients are *not* threads either — a small
+//! worker pool multiplexes tens to hundreds of thousands of [`Client`]
+//! drivers, each a few hundred bytes of protocol state plus a
+//! [`CollectIo`]. Every worker opens one connection per repository and
+//! tags frames with the issuing client's process id, so a repository
+//! routes replies by id over the connection they arrived on.
+//!
+//! [`LoadConfig::default`] is the deployment every caller runs: scoped
+//! status shipping, status GC with sweep batch 64, and quorum-sized
+//! (`Fanout::Narrow`) contact sets.
 //!
 //! Time: one logical tick = 1µs of wall clock, so client-recorded
 //! begin→commit spans *are* latencies in microseconds. Protocol timeouts
@@ -56,8 +62,8 @@ pub struct LoadConfig {
     /// gossip-pressure valve (per-repository work was O(total actions)
     /// in statuses, DESIGN §3.14); with scoped shipping + status GC
     /// (DESIGN §3.16) they are the *hosting* unit — one event-loop
-    /// thread per cell under [`LoadBackend::EventLoop`], the same
-    /// parallelism shape as `exp_scale`'s per-cluster sims.
+    /// thread per cell, the same parallelism shape as `exp_scale`'s
+    /// per-cluster sims.
     pub clusters: usize,
     /// Repository (site) count per cell.
     pub n_repos: u32,
@@ -100,37 +106,33 @@ pub struct LoadConfig {
     /// Status-GC sweep batch (see `TuningConfig::status_gc`); `None`
     /// keeps tombstones forever.
     pub status_gc: Option<u64>,
-    /// How repositories are hosted: one OS thread per repository
-    /// ([`LoadBackend::Threads`], the PR 7 shape) or one readiness-polled
-    /// event-loop thread per cell multiplexing every repository
-    /// ([`LoadBackend::EventLoop`]).
+    /// Repository hosting; [`LoadBackend::EventLoop`] is the only host.
     pub backend: LoadBackend,
     /// Socket-level fault injection applied to every harness link (worker
-    /// connections on both backends, accepted connections on the event
-    /// loop): seeded resets, stalls, split writes, and silent drops. The
-    /// default profile injects nothing and leaves streams untouched.
+    /// connections and accepted repository connections): seeded resets,
+    /// stalls, split writes, and silent drops. The default profile
+    /// injects nothing and leaves streams untouched.
     pub fault_profile: NetFaultProfile,
     /// Event-loop idle backoff floor, microseconds (the first sleep after
     /// a turn that made no progress; doubles per idle turn).
     pub poll_min_us: u64,
     /// Event-loop idle backoff ceiling, microseconds.
     pub poll_max_us: u64,
-    /// Idle wakeup cap for the blocking hosts (repository and worker
-    /// threads), milliseconds. Frame arrival interrupts the sleep via
-    /// `recv_timeout`, so this bounds only how stale the stop-flag /
-    /// deadline / accept checks can get — and the *idle* wakeup rate: a
-    /// large fleet runs hundreds of repository and worker threads, and
-    /// polling them at 1 kHz each would saturate a small box with context
+    /// Idle wakeup cap for the client worker threads, milliseconds. Frame
+    /// arrival interrupts the sleep via `recv_timeout`, so this bounds
+    /// only how stale the deadline check can get — and the *idle* wakeup
+    /// rate: a large fleet runs hundreds of worker threads, and polling
+    /// them at 1 kHz each would saturate a small box with context
     /// switches before any protocol work happens.
     pub idle_poll_ms: u64,
     /// Client ResolveAck retransmit period in ticks (µs) — the frontier
     /// repair path (`TuningConfig::resolve_retransmit`). `None` disables
     /// retransmission, the pre-supervision behavior.
     pub resolve_retransmit: Option<SimTime>,
-    /// Scripted repository crash (event-loop backend only): the repo at
-    /// this index in each cell goes dark at `at_ms`, loses its volatile
-    /// state, and restarts `down_ms` later, catching back up through
-    /// `SyncReq` state transfer.
+    /// Scripted repository crash: the repo at this index in each cell
+    /// goes dark at `at_ms`, loses its volatile state, and restarts
+    /// `down_ms` later, catching back up through `SyncReq` state
+    /// transfer.
     pub crash: Option<CrashSpec>,
 }
 
@@ -164,24 +166,14 @@ impl CrashSpec {
     }
 }
 
-/// Repository hosting strategy for the load harness.
+/// Repository hosting for the load harness. There is one host, so
+/// nothing branches on this; the type remains only because the
+/// benchmark crate names it when it spells out a full [`LoadConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadBackend {
-    /// One OS thread (plus blocking reader threads) per repository.
-    Threads,
     /// One OS thread per cell multiplexing all of its repositories over
     /// nonblocking sockets — the mio-style poll loop.
     EventLoop,
-}
-
-impl LoadBackend {
-    /// Stable label for BENCH json.
-    pub fn name(self) -> &'static str {
-        match self {
-            LoadBackend::Threads => "threads",
-            LoadBackend::EventLoop => "eventloop",
-        }
-    }
 }
 
 impl Default for LoadConfig {
@@ -198,13 +190,13 @@ impl Default for LoadConfig {
             workers: 8,
             seed: 1,
             op_timeout_ticks: 500_000, // 500ms
-            narrow: false,
+            narrow: true,
             deq_fraction: 0.4,
             ramp: Duration::ZERO,
             deadline: Duration::from_secs(60),
-            scoped_statuses: false,
-            status_gc: None,
-            backend: LoadBackend::Threads,
+            scoped_statuses: true,
+            status_gc: Some(64),
+            backend: LoadBackend::EventLoop,
             fault_profile: NetFaultProfile::none(),
             poll_min_us: 50,
             poll_max_us: 3200,
@@ -216,7 +208,7 @@ impl Default for LoadConfig {
 }
 
 impl LoadConfig {
-    /// The blocking hosts' idle wakeup cap as a duration.
+    /// The worker threads' idle wakeup cap as a duration.
     fn idle_poll(&self) -> Duration {
         Duration::from_millis(self.idle_poll_ms.max(1))
     }
@@ -238,8 +230,6 @@ impl LoadConfig {
 pub struct LoadReport {
     /// Mode name (`static-ts` / `hybrid` / `dynamic-2pl`).
     pub mode: &'static str,
-    /// Repository hosting strategy (`threads` / `eventloop`).
-    pub backend: &'static str,
     /// Client drivers launched.
     pub clients: usize,
     /// Transactions committed.
@@ -287,7 +277,7 @@ impl LoadReport {
     /// the `BENCH_*.json` emitters).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"mode\": \"{}\", \"backend\": \"{}\", \"clients\": {}, \"committed\": {}, \
+            "{{\"mode\": \"{}\", \"clients\": {}, \"committed\": {}, \
              \"aborted\": {}, \
              \"ops_committed\": {}, \"unfinished\": {}, \"wall_ms\": {}, \
              \"txns_per_sec\": {:.1}, \"ops_per_sec\": {:.1}, \
@@ -296,7 +286,6 @@ impl LoadReport {
              \"statuses_gcd\": {}, \"recoveries\": {}, \
              \"latency_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"mean\": {:.1}}}}}",
             self.mode,
-            self.backend,
             self.clients,
             self.committed,
             self.aborted,
@@ -574,7 +563,6 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
     let secs = wall.as_secs_f64().max(1e-9);
     LoadReport {
         mode: cfg.mode.name(),
-        backend: cfg.backend.name(),
         clients: cfg.clients,
         committed,
         aborted,
@@ -603,7 +591,6 @@ fn run_cluster(cfg: &LoadConfig) -> (Vec<WorkerResult>, RepoSideStats) {
     let repos: Vec<ProcId> = (0..cfg.n_repos).collect();
     let stop = AtomicBool::new(false);
     let epoch = Instant::now();
-    let now_tick = |epoch: &Instant| -> SimTime { epoch.elapsed().as_micros() as SimTime };
 
     // Bind every repository listener up front so workers can connect
     // immediately.
@@ -618,33 +605,11 @@ fn run_cluster(cfg: &LoadConfig) -> (Vec<WorkerResult>, RepoSideStats) {
 
     let chunk = cfg.clients.div_ceil(cfg.workers);
     let (results, repo_side) = std::thread::scope(|scope| {
-        // --- Repository nodes ---------------------------------------
-        let mut repo_handles = Vec::new();
-        match cfg.backend {
-            LoadBackend::Threads => {
-                for (r, listener) in repos.iter().zip(listeners) {
-                    let repo_id = *r;
-                    let stop = &stop;
-                    let epoch = &epoch;
-                    let peers = repos.clone();
-                    let repo_cfg = cfg.clone();
-                    repo_handles.push(scope.spawn(move || {
-                        repo_main(&repo_cfg, repo_id, listener, peers, stop, epoch)
-                    }));
-                }
-            }
-            LoadBackend::EventLoop => {
-                let stop = &stop;
-                let epoch = &epoch;
-                let peers = repos.clone();
-                let cell_cfg = cfg.clone();
-                repo_handles.push(
-                    scope.spawn(move || {
-                        cell_eventloop_main(&cell_cfg, listeners, &peers, stop, epoch)
-                    }),
-                );
-            }
-        }
+        // --- Repository side: one event-loop thread -------------------
+        let repo_host = {
+            let (stop, epoch, peers) = (&stop, &epoch, &repos);
+            scope.spawn(move || cell_eventloop_main(cfg, listeners, peers, stop, epoch))
+        };
 
         // --- Client workers -----------------------------------------
         let mut handles = Vec::with_capacity(cfg.workers);
@@ -666,163 +631,18 @@ fn run_cluster(cfg: &LoadConfig) -> (Vec<WorkerResult>, RepoSideStats) {
             .map(|h| h.join().expect("worker panicked"))
             .collect();
         stop.store(true, Ordering::SeqCst);
-        let mut repo_side = RepoSideStats::default();
-        for h in repo_handles {
-            let s = h.join().expect("repo host panicked");
-            repo_side.statuses_gcd += s.statuses_gcd;
-            repo_side.recoveries += s.recoveries;
-        }
-        (results, repo_side)
+        (results, repo_host.join().expect("repo host panicked"))
     });
-    let _ = now_tick; // tick mapping is implicit in client records
     (results, repo_side)
-}
-
-/// One repository node: accept loop + event loop, single thread. The
-/// listener is polled non-blocking so the thread can watch `stop`;
-/// accepted connections get a blocking reader thread each, feeding the
-/// shared event queue. Accepted streams pass through [`FaultShim`], so a
-/// lossy profile can reset, stall, or blackhole them server-side too.
-fn repo_main(
-    cfg: &LoadConfig,
-    repo_id: ProcId,
-    listener: TcpListener,
-    peers: Vec<ProcId>,
-    stop: &AtomicBool,
-    epoch: &Instant,
-) -> RepoSideStats {
-    let bootstrap = Config::new(0, peers.iter().copied(), majority_thresholds(cfg.n_repos));
-    let mut repo: Repository<Queue> = Repository::new(cfg.mode, cfg.relation.clone())
-        .with_config(ConfigState::Stable(bootstrap))
-        .with_peers(peers)
-        .with_gossip(cfg.scoped_statuses, cfg.status_gc);
-    let mut io: CollectIo<QMsg> = CollectIo::new(repo_id, u64::from(repo_id) + 1);
-
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
-    let (tx, rx) = mpsc::channel::<(ProcId, QMsg, usize)>();
-    // Writers for accepted connections, indexed by accept order; routes
-    // map a client id to the connection its frames arrive on.
-    let mut writers: Vec<BufWriter<FaultShim<TcpStream>>> = Vec::new();
-    let mut route: std::collections::HashMap<ProcId, usize> = std::collections::HashMap::new();
-
-    std::thread::scope(|scope| {
-        io.set_now(now_us(epoch));
-        repo.start(&mut io);
-        debug_assert!(io.is_empty(), "idle repository start emits nothing");
-
-        loop {
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-            // Accept any pending connections.
-            while let Ok((conn, _addr)) = listener.accept() {
-                conn.set_nodelay(true).ok();
-                let reader = conn.try_clone().expect("clone conn");
-                let conn_idx = writers.len();
-                let link_id = splitmix64(cfg.seed ^ (u64::from(repo_id) << 24) ^ conn_idx as u64);
-                writers.push(BufWriter::new(FaultShim::new(
-                    conn,
-                    cfg.fault_profile,
-                    link_id,
-                )));
-                let reader_shim = FaultShim::new(reader, cfg.fault_profile, link_id ^ 1);
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let mut reader = BufReader::new(reader_shim);
-                    while let Ok((from, _to, payload)) = read_frame(&mut reader) {
-                        let Some(msg) = wire::decode::<QMsg>(&payload) else {
-                            break;
-                        };
-                        if tx.send((from, msg, conn_idx)).is_err() {
-                            break;
-                        }
-                    }
-                    // A dead read leg must kill the whole socket: leaving
-                    // it half-open would let the worker keep writing into
-                    // a void with nothing to trip its supervision.
-                    reader
-                        .get_ref()
-                        .get_ref()
-                        .shutdown(std::net::Shutdown::Both)
-                        .ok();
-                });
-            }
-            // Drain the whole backlog per wakeup: on a loaded box each
-            // cross-thread handoff costs a context switch, so amortizing
-            // handle/flush over the queue is what keeps service rate
-            // above arrival rate.
-            let mut first = match rx.recv_timeout(cfg.idle_poll()) {
-                Ok(m) => Some(m),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
-            let mut touched: Vec<usize> = Vec::new();
-            while let Some((from, msg, conn_idx)) = first {
-                route.insert(from, conn_idx);
-                io.set_now(now_us(epoch));
-                repo.handle(&mut io, from, msg);
-                for out in io.take_outputs() {
-                    match out {
-                        Output::Send { to, msg, .. } => {
-                            // A closed connection (its worker already
-                            // finished and shut the socket) just drops
-                            // the reply, like a lossy link would.
-                            if let Some(&idx) = route.get(&to) {
-                                let payload = wire::encode(&msg);
-                                if write_frame(&mut writers[idx], repo_id, to, &payload).is_ok() {
-                                    touched.push(idx);
-                                } else {
-                                    // The write leg died (shim reset or
-                                    // blackhole exhausted): close the
-                                    // socket so the worker's reader sees
-                                    // EOF and supervision redials.
-                                    writers[idx]
-                                        .get_ref()
-                                        .get_ref()
-                                        .shutdown(std::net::Shutdown::Both)
-                                        .ok();
-                                }
-                            }
-                        }
-                        // Repositories only arm timers for optional
-                        // anti-entropy gossip, which the harness
-                        // leaves off.
-                        Output::SetTimer { .. } => {}
-                    }
-                }
-                first = rx.try_recv().ok();
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            for idx in touched {
-                if writers[idx].flush().is_err() {
-                    writers[idx]
-                        .get_ref()
-                        .get_ref()
-                        .shutdown(std::net::Shutdown::Both)
-                        .ok();
-                }
-            }
-        }
-        drop(tx);
-    });
-    let counters = repo.counters();
-    RepoSideStats {
-        statuses_gcd: counters.statuses_gcd,
-        recoveries: counters.recoveries,
-    }
 }
 
 fn now_us(epoch: &Instant) -> SimTime {
     epoch.elapsed().as_micros() as SimTime
 }
 
-/// One event-loop thread hosting *all* of a cell's repositories
-/// ([`LoadBackend::EventLoop`]): the whole cell's repository side is one
-/// OS thread, no per-repository threads and no per-connection reader
-/// threads.
+/// One event-loop thread hosting *all* of a cell's repositories: the
+/// whole cell's repository side is one OS thread, no per-repository
+/// threads and no per-connection reader threads.
 ///
 /// Everything is readiness-polled over nonblocking sockets: listeners
 /// are drained of pending accepts each turn; each connection carries an
@@ -837,7 +657,7 @@ fn now_us(epoch: &Instant) -> SimTime {
 /// With nothing readable, writable, due, or pending the loop backs off
 /// exponentially ([`LoadConfig::poll_min_us`] doubling to
 /// [`LoadConfig::poll_max_us`]), since nothing interrupts a poll loop's
-/// sleep the way `recv_timeout` interrupts the threaded backend's.
+/// sleep the way `recv_timeout` interrupts a worker's.
 ///
 /// A scripted [`LoadConfig::crash`] kills one co-hosted repository for a
 /// wall-clock window: its connections are severed, its timers and
@@ -1371,25 +1191,14 @@ fn worker_main(
                     .max(Duration::from_micros(100));
                 wait = wait.min(until);
             }
-            match rx.recv_timeout(wait) {
-                Ok((from, to, payload)) => {
-                    let k = (to - base_id) as usize;
-                    let msg = wire::decode::<QMsg>(&payload).expect("decode reply");
-                    let now = now_us(epoch);
-                    let (c, io) = &mut clients[k];
-                    io.set_now(now);
-                    c.handle(&mut *io, from, msg);
-                    dispatch!(k, now);
-                    if !done[k] && clients[k].0.is_done() {
-                        done[k] = true;
-                        n_done += 1;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
+            // Wait for the first frame, then drain whatever else is queued
+            // before paying a flush.
+            let mut frame = match rx.recv_timeout(wait) {
+                Ok(f) => Some(f),
+                Err(RecvTimeoutError::Timeout) => None,
                 Err(RecvTimeoutError::Disconnected) => break,
-            }
-            // Drain whatever else is queued before paying a flush.
-            while let Ok((from, to, payload)) = rx.try_recv() {
+            };
+            while let Some((from, to, payload)) = frame {
                 let k = (to - base_id) as usize;
                 let msg = wire::decode::<QMsg>(&payload).expect("decode reply");
                 let now = now_us(epoch);
@@ -1401,6 +1210,7 @@ fn worker_main(
                     done[k] = true;
                     n_done += 1;
                 }
+                frame = rx.try_recv().ok();
             }
             // Flush everything this turn produced — replies *and*
             // timer-driven sends (a client's first op leaves via a

@@ -5,10 +5,10 @@
 
 use std::time::Duration;
 
-use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation};
+use quorumcc_adts::Queue;
 use quorumcc_model::spec::ExploreBounds;
-use quorumcc_net::{run_load, LoadBackend, LoadConfig, NetFaultProfile};
-use quorumcc_replication::protocol::Mode;
+use quorumcc_net::{run_load, LoadConfig, NetFaultProfile};
+use quorumcc_replication::protocol::{Mode, Protocol};
 
 fn bounds() -> ExploreBounds {
     ExploreBounds {
@@ -19,17 +19,10 @@ fn bounds() -> ExploreBounds {
 
 #[test]
 fn socket_cluster_serves_hundreds_of_multiplexed_clients() {
-    use quorumcc_adts::Queue;
     for mode in [Mode::StaticTs, Mode::Hybrid, Mode::Dynamic2pl] {
-        let relation = match mode {
-            Mode::StaticTs | Mode::Hybrid => minimal_static_relation::<Queue>(bounds()).relation,
-            Mode::Dynamic2pl => minimal_static_relation::<Queue>(bounds())
-                .relation
-                .union(&minimal_dynamic_relation::<Queue>(bounds()).relation),
-        };
         let report = run_load(&LoadConfig {
             mode,
-            relation,
+            relation: Protocol::minimal::<Queue>(mode, bounds()).rel,
             n_repos: 3,
             clients: 300,
             txns_per_client: 2,
@@ -47,6 +40,9 @@ fn socket_cluster_serves_hundreds_of_multiplexed_clients() {
         assert!(report.committed <= 600, "{mode:?}: {report:?}");
         assert!(report.committed > 0, "{mode:?}: nothing committed");
         assert!(report.p50_us > 0, "{mode:?}: missing latency samples");
+        // The default deployment runs status GC (batch 64): 600
+        // resolutions per cell must move the durable frontier.
+        assert!(report.statuses_gcd > 0, "{mode:?}: default path ran no GC");
     }
 }
 
@@ -58,11 +54,9 @@ fn socket_cluster_serves_hundreds_of_multiplexed_clients() {
 /// and the durable-GC frontier must still advance end to end.
 #[test]
 fn lossy_sockets_with_repair_commit_everything() {
-    use quorumcc_adts::Queue;
-    let relation = minimal_static_relation::<Queue>(bounds()).relation;
     let report = run_load(&LoadConfig {
         mode: Mode::Hybrid,
-        relation,
+        relation: Protocol::minimal::<Queue>(Mode::Hybrid, bounds()).rel,
         n_repos: 3,
         clients: 48,
         txns_per_client: 20,
@@ -73,9 +67,7 @@ fn lossy_sockets_with_repair_commit_everything() {
         narrow: false,
         deq_fraction: 0.0,
         deadline: Duration::from_secs(60),
-        scoped_statuses: true,
         status_gc: Some(4),
-        backend: LoadBackend::EventLoop,
         fault_profile: NetFaultProfile::lossy(31),
         resolve_retransmit: Some(250_000),
         ..LoadConfig::default()

@@ -38,8 +38,9 @@
 //! decision, is unchanged.
 
 use crate::types::{ActionOutcome, LogEntry, ObjectLog};
-use quorumcc_core::DependencyRelation;
-use quorumcc_model::{ActionId, Classified, EventClass};
+use quorumcc_core::{minimal_dynamic_relation, minimal_static_relation, DependencyRelation};
+use quorumcc_model::spec::ExploreBounds;
+use quorumcc_model::{ActionId, Classified, Enumerable, EventClass};
 use quorumcc_sim::Timestamp;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -63,6 +64,20 @@ impl Mode {
             Mode::StaticTs => "static",
             Mode::Hybrid => "hybrid",
             Mode::Dynamic2pl => "dynamic-2pl",
+        }
+    }
+
+    /// Parses a command-line mode name: `static`, `hybrid` or `dynamic`.
+    ///
+    /// # Errors
+    ///
+    /// Returns `unknown mode: <s>` for any other name.
+    pub fn parse(s: &str) -> Result<Mode, String> {
+        match s {
+            "static" => Ok(Mode::StaticTs),
+            "hybrid" => Ok(Mode::Hybrid),
+            "dynamic" => Ok(Mode::Dynamic2pl),
+            other => Err(format!("unknown mode: {other} (static|hybrid|dynamic)")),
         }
     }
 }
@@ -123,6 +138,17 @@ pub struct Protocol {
 impl Protocol {
     /// Builds a protocol.
     pub fn new(mode: Mode, rel: DependencyRelation) -> Self {
+        Protocol { mode, rel }
+    }
+
+    /// The minimal protocol `mode` needs for type `S`: the minimal static
+    /// relation `≥S` for static and hybrid (every static relation is a
+    /// hybrid one, Theorem 4), and `≥S ∪ ≥D` for dynamic-2pl.
+    pub fn minimal<S: Enumerable + Classified>(mode: Mode, bounds: ExploreBounds) -> Self {
+        let mut rel = minimal_static_relation::<S>(bounds).relation;
+        if mode == Mode::Dynamic2pl {
+            rel = rel.union(&minimal_dynamic_relation::<S>(bounds).relation);
+        }
         Protocol { mode, rel }
     }
 
@@ -270,8 +296,6 @@ mod tests {
     use super::*;
     use crate::types::entry_of;
     use quorumcc_core::certificates::prom_hybrid_relation;
-    use quorumcc_core::minimal_static_relation;
-    use quorumcc_model::spec::ExploreBounds;
     use quorumcc_model::testtypes::{QInv, QRes, TestQueue, TestRegister};
 
     fn ts(c: u64, n: u32) -> Timestamp {
@@ -281,27 +305,41 @@ mod tests {
         }
     }
 
+    fn bounds() -> ExploreBounds {
+        ExploreBounds {
+            depth: 4,
+            ..ExploreBounds::default()
+        }
+    }
+
     fn queue_static() -> Protocol {
-        Protocol::new(
-            Mode::StaticTs,
-            minimal_static_relation::<TestQueue>(ExploreBounds {
-                depth: 4,
-                ..ExploreBounds::default()
-            })
-            .relation,
-        )
+        Protocol::minimal::<TestQueue>(Mode::StaticTs, bounds())
     }
 
     fn queue_hybrid() -> Protocol {
         // ≥S is a hybrid dependency relation for the queue (Theorem 4).
-        Protocol::new(
-            Mode::Hybrid,
-            minimal_static_relation::<TestQueue>(ExploreBounds {
-                depth: 4,
-                ..ExploreBounds::default()
-            })
-            .relation,
-        )
+        Protocol::minimal::<TestQueue>(Mode::Hybrid, bounds())
+    }
+
+    #[test]
+    fn mode_parse_accepts_the_three_command_line_names() {
+        assert_eq!(Mode::parse("static"), Ok(Mode::StaticTs));
+        assert_eq!(Mode::parse("hybrid"), Ok(Mode::Hybrid));
+        assert_eq!(Mode::parse("dynamic"), Ok(Mode::Dynamic2pl));
+        let err = Mode::parse("2pl").unwrap_err();
+        assert!(err.starts_with("unknown mode: 2pl"), "{err}");
+    }
+
+    #[test]
+    fn minimal_dynamic_protocol_adds_the_commutativity_pairs() {
+        let s = Protocol::minimal::<TestQueue>(Mode::StaticTs, bounds()).rel;
+        let d = Protocol::minimal::<TestQueue>(Mode::Dynamic2pl, bounds()).rel;
+        assert_eq!(
+            Protocol::minimal::<TestQueue>(Mode::Hybrid, bounds()).rel,
+            s
+        );
+        assert_eq!(s.union(&d), d, "dynamic-2pl keeps every static pair");
+        assert_ne!(s, d, "Enq ≥D Enq/Ok is not a static pair");
     }
 
     #[test]
@@ -397,11 +435,7 @@ mod tests {
 
     #[test]
     fn dynamic_locks_concurrent_enqueues() {
-        let rel = quorumcc_core::minimal_dynamic_relation::<TestQueue>(ExploreBounds {
-            depth: 4,
-            ..ExploreBounds::default()
-        })
-        .relation;
+        let rel = minimal_dynamic_relation::<TestQueue>(bounds()).relation;
         let p = Protocol::new(Mode::Dynamic2pl, rel);
         let mut log = ObjectLog::new();
         log.insert(entry_of::<TestQueue>(

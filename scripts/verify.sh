@@ -217,31 +217,34 @@ for t in 2 4 0; do
 done
 rm -rf "$explore_scratch"
 
-echo "==> qcc load smoke: tiny fleet through the CLI"
-load_out="$(cargo run -q --release --bin qcc -- load --clients 40 --cells 2 --objects 16 --ramp-ms 100)"
+echo "==> qcc load smoke: tiny fleet through the CLI (default deployment runs status GC)"
+# Several txns per client: a client advertises its durable frontier on
+# its next ReadLog, so a one-txn fleet never licenses a sweep.
+load_out="$(cargo run -q --release --bin qcc -- load --clients 40 --cells 2 --objects 16 \
+  --ramp-ms 100 --txns 8)"
 echo "$load_out" | grep -q '"unfinished": 0' || {
   echo "qcc load left clients unfinished:" >&2
   echo "$load_out" >&2
   exit 1
 }
-
-echo "==> qcc load smoke: event-loop backend with scoped shipping + status GC"
-evl_out="$(cargo run -q --release --bin qcc -- load --clients 40 --cells 2 --objects 16 \
-  --ramp-ms 100 --backend eventloop --scoped true --gc 8)"
-echo "$evl_out" | grep -q '"unfinished": 0' || {
-  echo "qcc load --backend eventloop left clients unfinished:" >&2
-  echo "$evl_out" >&2
+if echo "$load_out" | grep -q '"statuses_gcd": 0'; then
+  echo "qcc load with default flags collected no statuses:" >&2
+  echo "$load_out" >&2
   exit 1
-}
-echo "$evl_out" | grep -q '"backend": "eventloop"' || {
-  echo "qcc load --backend eventloop did not label the backend:" >&2
+fi
+
+echo "==> qcc load smoke: event-loop host with a tight status-GC batch"
+evl_out="$(cargo run -q --release --bin qcc -- load --clients 40 --cells 2 --objects 16 \
+  --ramp-ms 100 --gc 8)"
+echo "$evl_out" | grep -q '"unfinished": 0' || {
+  echo "qcc load --gc 8 left clients unfinished:" >&2
   echo "$evl_out" >&2
   exit 1
 }
 
 echo "==> qcc load smoke: lossy fault shims + frontier repair + scripted crash"
 lossy_out="$(cargo run -q --release --bin qcc -- load --clients 24 --cells 1 --objects 256 \
-  --txns 40 --backend eventloop --scoped true --gc 4 --narrow false --deq 0.0 \
+  --txns 40 --gc 4 --narrow false --deq 0.0 \
   --fault-profile lossy --retransmit-ms 250 --crash 2:200:200)"
 echo "$lossy_out" | grep -q '"unfinished": 0' || {
   echo "qcc load under lossy shims + crash left clients unfinished:" >&2

@@ -16,7 +16,7 @@
 //! Types: queue, prom, flagset, doublebuffer, register, counter, account,
 //! gset, directory, appendlog.
 
-use quorumcc::core::{battery, certificates, minimal_dynamic_relation, minimal_static_relation};
+use quorumcc::core::{battery, certificates};
 use quorumcc::model::{Classified, Enumerable};
 use quorumcc::prelude::*;
 use quorumcc::quorum::{availability, pareto, planner, threshold, SiteSet};
@@ -124,16 +124,11 @@ macro_rules! with_type {
     };
 }
 
-fn relation_for<S: Enumerable + Classified>(
-    which: &str,
-) -> Result<quorumcc::core::DependencyRelation, String> {
-    match which {
-        "static" | "hybrid" => Ok(minimal_static_relation::<S>(bounds()).relation),
-        "dynamic" => Ok(minimal_static_relation::<S>(bounds())
-            .relation
-            .union(&minimal_dynamic_relation::<S>(bounds()).relation)),
-        other => Err(format!("unknown relation/mode: {other}")),
-    }
+/// The minimal protocol a `static|hybrid|dynamic` mode name needs for
+/// `S` — the one relation every subcommand derives (`--relation` and
+/// `--mode` take the same names).
+fn protocol_for<S: Enumerable + Classified>(mode: &str) -> Result<Protocol, String> {
+    Ok(Protocol::minimal::<S>(Mode::parse(mode)?, bounds()))
 }
 
 fn cmd_relations<S: Enumerable + Classified>(_opts: &Opts) -> Result<(), String> {
@@ -145,7 +140,7 @@ fn cmd_relations<S: Enumerable + Classified>(_opts: &Opts) -> Result<(), String>
 fn cmd_quorums<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
     let n: u32 = opts.get("sites", 5u32)?;
     let which = opts.str("relation", "static");
-    let rel = relation_for::<S>(&which)?;
+    let rel = protocol_for::<S>(&which)?.rel;
     let ops = S::op_classes();
     let evs = S::event_classes();
     let priority_raw = opts.str("priority", "");
@@ -178,7 +173,7 @@ fn cmd_quorums<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
 fn cmd_frontier<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
     let n: u32 = opts.get("sites", 5u32)?;
     let which = opts.str("relation", "static");
-    let rel = relation_for::<S>(&which)?;
+    let rel = protocol_for::<S>(&which)?.rel;
     let ops = S::op_classes();
     let evs = S::event_classes();
     let f = pareto::frontier(&rel, n, &ops, &evs);
@@ -202,7 +197,7 @@ fn cmd_reconfig<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
         return Err(format!("--sites must be in 1..=16, got {n}"));
     }
     let which = opts.str("relation", "hybrid");
-    let rel = relation_for::<S>(&which)?;
+    let rel = protocol_for::<S>(&which)?.rel;
     let ops = S::op_classes();
     let evs = S::event_classes();
 
@@ -292,16 +287,7 @@ fn cmd_reconfig<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
 /// Builds the `RunBuilder` shared by `simulate` and `trace` from the
 /// common command-line options.
 fn builder_from_opts<S: Enumerable + Classified>(opts: &Opts) -> Result<RunBuilder<S>, String> {
-    let mode = match opts.str("mode", "hybrid").as_str() {
-        "static" => Mode::StaticTs,
-        "hybrid" => Mode::Hybrid,
-        "dynamic" => Mode::Dynamic2pl,
-        other => return Err(format!("unknown mode: {other}")),
-    };
-    let rel = relation_for::<S>(match mode {
-        Mode::Dynamic2pl => "dynamic",
-        _ => "static",
-    })?;
+    let Protocol { mode, rel } = protocol_for::<S>(&opts.str("mode", "hybrid"))?;
     let spec = WorkloadSpec {
         clients: opts.get("clients", 3usize)?,
         txns_per_client: opts.get("txns", 4usize)?,
@@ -461,25 +447,8 @@ fn cmd_trace<S: Enumerable + Classified>(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves a mode name into the protocol used by `chaos` and `explore`
-/// (the relation is the minimal one the mode needs, exactly as in
-/// `builder_from_opts`).
-fn protocol_from_mode<S: Enumerable + Classified>(mode_s: &str) -> Result<Protocol, String> {
-    let mode = match mode_s {
-        "static" => Mode::StaticTs,
-        "hybrid" => Mode::Hybrid,
-        "dynamic" => Mode::Dynamic2pl,
-        other => return Err(format!("unknown mode: {other}")),
-    };
-    let rel = relation_for::<S>(match mode {
-        Mode::Dynamic2pl => "dynamic",
-        _ => "static",
-    })?;
-    Ok(Protocol::new(mode, rel))
-}
-
 fn protocol_from_opts<S: Enumerable + Classified>(opts: &Opts) -> Result<Protocol, String> {
-    protocol_from_mode::<S>(&opts.str("mode", "hybrid"))
+    protocol_for::<S>(&opts.str("mode", "hybrid"))
 }
 
 /// `qcc chaos <type>`: the deterministic fuzz driver. Samples `--runs`
@@ -631,7 +600,7 @@ fn cmd_explore<S: Enumerable + Classified + Clone + std::fmt::Debug>(
             return Err("--replay takes no other options (the spec carries the shape)".to_string());
         }
         let spec = ExploreSpec::parse(raw)?;
-        let protocol = protocol_from_mode::<S>(&spec.mode)?;
+        let protocol = protocol_for::<S>(&spec.mode)?;
         let r = rexplore::replay_setup::<S>(&protocol, &spec.setup, &spec.sched)
             .map_err(|e| e.to_string())?;
         println!("replaying {spec}");
@@ -651,7 +620,7 @@ fn cmd_explore<S: Enumerable + Classified + Clone + std::fmt::Debug>(
     }
 
     let mode_s = opts.str("mode", "hybrid");
-    let protocol = protocol_from_mode::<S>(&mode_s)?;
+    let protocol = protocol_for::<S>(&mode_s)?;
     let knob = match (
         opts.get("unsound-weaken-read-quorum", false)?,
         opts.get("unsound-skip-final-ack", false)?,
@@ -746,21 +715,11 @@ fn cmd_explore<S: Enumerable + Classified + Clone + std::fmt::Debug>(
 /// generates `Enq`/`Deq` workloads (`--deq 0` is the conflict-free
 /// Enq-only shape the `exp_load` bench uses).
 fn cmd_load(opts: &Opts) -> Result<(), String> {
-    let mode_s = opts.str("mode", "hybrid");
-    let mode = match mode_s.as_str() {
-        "static" => Mode::StaticTs,
-        "hybrid" => Mode::Hybrid,
-        "dynamic" => Mode::Dynamic2pl,
-        other => return Err(format!("unknown mode: {other}")),
-    };
-    let relation = relation_for::<quorumcc_adts::Queue>(&mode_s)?;
-    let backend_s = opts.str("backend", "threads");
-    let backend = match backend_s.as_str() {
-        "threads" => quorumcc::net::LoadBackend::Threads,
-        "eventloop" => quorumcc::net::LoadBackend::EventLoop,
-        other => return Err(format!("unknown backend: {other} (threads|eventloop)")),
-    };
-    let gc_batch = opts.get("gc", 0u64)?;
+    let Protocol {
+        mode,
+        rel: relation,
+    } = protocol_for::<quorumcc_adts::Queue>(&opts.str("mode", "hybrid"))?;
+    let gc_batch = opts.get("gc", 64u64)?;
     let fault_profile = quorumcc::net::NetFaultProfile::parse(&opts.str("fault-profile", "none"))?;
     let crash = match opts.str("crash", "").as_str() {
         "" => None,
@@ -784,9 +743,7 @@ fn cmd_load(opts: &Opts) -> Result<(), String> {
         deq_fraction: opts.get("deq", 0.0f64)?,
         ramp: std::time::Duration::from_millis(opts.get("ramp-ms", 1_000u64)?),
         deadline: std::time::Duration::from_secs(opts.get("deadline", 120u64)?),
-        scoped_statuses: opts.get("scoped", false)?,
         status_gc: (gc_batch > 0).then_some(gc_batch),
-        backend,
         fault_profile,
         poll_min_us: opts.get("poll-min-us", 50u64)?,
         poll_max_us: opts.get("poll-max-us", 3_200u64)?,
@@ -794,11 +751,12 @@ fn cmd_load(opts: &Opts) -> Result<(), String> {
         // Ticks are microseconds, like --timeout-ms.
         resolve_retransmit: (retransmit_ms > 0).then(|| retransmit_ms.saturating_mul(1_000)),
         crash,
+        ..quorumcc::net::LoadConfig::default()
     };
     let report = quorumcc::net::run_load(&cfg);
     println!(
-        "{} clients x {} txns over {} cells ({} sites each, {} mode, {} backend)",
-        cfg.clients, cfg.txns_per_client, cfg.clusters, cfg.n_repos, report.mode, report.backend
+        "{} clients x {} txns over {} cells ({} sites each, {} mode)",
+        cfg.clients, cfg.txns_per_client, cfg.clusters, cfg.n_repos, report.mode
     );
     println!(
         "  committed {}  aborted(attempts) {}  unfinished {}",
@@ -921,8 +879,6 @@ fn allowed_opts(cmd: &str) -> &'static [&'static str] {
         "deq",
         "ramp-ms",
         "deadline",
-        "backend",
-        "scoped",
         "gc",
         "fault-profile",
         "crash",
@@ -954,12 +910,12 @@ fn usage() -> String {
      \x20    qcc reconfig prom --sites 5 --lost 4 --relation hybrid --priority Read,Write\n\
      \x20    qcc chaos queue --seed 7 --runs 200 | qcc chaos queue --replay 's=7;...'\n\
      \x20    qcc explore queue --sites 2 --clients 2 --depth 14 | qcc explore queue --replay 'mode=...'\n\
-     \x20    qcc load --mode static --clients 2000 --cells 8 | qcc load --backend eventloop --scoped true --gc 64\n\
+     \x20    qcc load --mode static --clients 2000 --cells 8 | qcc load --mode dynamic --deq 0.3 --gc 8\n\
      trace filters: --obj N --site N --action k1,k2 --from T --until T --limit N --save FILE\n\
      load (real TCP sockets, queue workload): --cells N --sites N --clients N --txns N --ops N\n\
      \x20    --objects N --workers N --seed N --timeout-ms N --narrow BOOL --deq FRAC --ramp-ms N --deadline SECS\n\
-     \x20    --backend threads|eventloop --scoped BOOL --gc BATCH (status GC sweep batch, 0 = off)\n\
-     \x20    --fault-profile none|lossy|stormy[:seed] (socket fault injection) --crash REPO:AT_MS:DOWN_MS (eventloop)\n\
+     \x20    --gc BATCH (status GC sweep batch, default 64, 0 = off)\n\
+     \x20    --fault-profile none|lossy|stormy[:seed] (socket fault injection) --crash REPO:AT_MS:DOWN_MS\n\
      \x20    --retransmit-ms N (ResolveAck frontier repair, 0 = off) --poll-min-us N --poll-max-us N --idle-poll-ms N"
         .to_string()
 }

@@ -208,17 +208,35 @@ fn missing_args_print_usage() {
 }
 
 /// `load` rejects unknown flags like every other subcommand (per-flag
-/// tables in `allowed_opts`), including typos of the new gossip and
-/// backend knobs.
+/// tables in `allowed_opts`), including typos of the gossip knobs and
+/// the retired `--backend` / `--scoped` selectors (the event-loop host
+/// with scoped status shipping is the only deployment).
 #[test]
 fn load_rejects_unknown_flags() {
-    for bogus in ["--bogus", "--back-end", "--gcd"] {
-        let (ok, _, stderr) = qcc(&["load", bogus, "x", "--clients", "4"]);
+    for (bogus, value) in [
+        ("--bogus", "x"),
+        ("--back-end", "x"),
+        ("--gcd", "x"),
+        ("--backend", "eventloop"),
+        ("--scoped", "true"),
+    ] {
+        let (ok, _, stderr) = qcc(&["load", bogus, value, "--clients", "4"]);
         assert!(!ok, "{bogus} accepted");
         assert!(stderr.contains("unknown option"), "{bogus}: {stderr}");
     }
-    // And an unknown backend *value* fails with the candidates listed.
-    let (ok, _, stderr) = qcc(&["load", "--backend", "epoll", "--clients", "4"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown backend"), "{stderr}");
+}
+
+/// Every subcommand that takes a mode name parses it the same way.
+#[test]
+fn unknown_mode_fails_cleanly_everywhere() {
+    for args in [
+        &["simulate", "queue", "--mode", "2pl"][..],
+        &["chaos", "queue", "--mode", "2pl"],
+        &["quorums", "queue", "--relation", "2pl"],
+        &["load", "--mode", "2pl"],
+    ] {
+        let (ok, _, stderr) = qcc(args);
+        assert!(!ok, "{args:?} accepted");
+        assert!(stderr.contains("unknown mode: 2pl"), "{args:?}: {stderr}");
+    }
 }
